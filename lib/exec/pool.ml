@@ -156,7 +156,14 @@ let map t f arr =
     let snaps = Array.make n None in
     let wmarks = Array.make n None in
     let rsnaps = Array.make n Recorder.empty_snapshot in
+    (* Resource flows of each task, sampled on the domain that ran it;
+       at the join they replace what the caller spent during the batch
+       in its open spans, so those spans do not depend on which tasks
+       the caller happened to run itself. *)
+    let measure = Metrics.enabled () && Resource.enabled () in
+    let flows = Array.make n Resource.zero_delta in
     let run i =
+      let r0 = if measure then Some (Resource.sample ()) else None in
       (* Every task — including those the caller runs itself — records
          spans into a task-local capture, so the join can replay them
          in task index order: the emitted id/parent/order stream is
@@ -169,6 +176,10 @@ let map t f arr =
               | exception e -> Raised (e, Printexc.get_raw_backtrace ())))
       in
       rsnaps.(i) <- rsnap;
+      (match r0 with
+      | Some before ->
+        flows.(i) <- Resource.delta ~before ~after:(Resource.sample ())
+      | None -> ());
       (* hand this task's metric activity back to the caller; tasks the
          caller ran itself accumulated in the right cells already.
          Resource peak watermarks travel the same way — max-merged at
@@ -180,7 +191,14 @@ let map t f arr =
         wmarks.(i) <- Some (Resource.snapshot_watermark ())
       end
     in
+    let w0 = if measure then Some (Resource.sample ()) else None in
     run_batch t ~size:n ~run;
+    (match w0 with
+    | Some before ->
+      let spent = Resource.delta ~before ~after:(Resource.sample ()) in
+      let ran = Array.fold_left Resource.add Resource.zero_delta flows in
+      Recorder.credit (Resource.credit ~ran ~spent)
+    | None -> ());
     Array.iter Recorder.merge rsnaps;
     Array.iter (function Some s -> Metrics.merge s | None -> ()) snaps;
     Array.iter (function Some w -> Resource.merge_watermark w | None -> ()) wmarks;

@@ -4,7 +4,7 @@
    meaningful when [present.(c)]. *)
 
 (* Always-on workload counters (plain int increments, see Fpart_obs).
-   "scans" counts fold_top calls, "scanned_cells" the cells they
+   "scans" counts fold_top/read_top calls, "scanned_cells" the cells they
    visited, "settle_steps" the empty buckets skipped while lowering
    [top] — together they expose how much bucket-walking a pass pays. *)
 module Obs = Fpart_obs.Metrics
@@ -147,6 +147,23 @@ let fold_top t ~limit ~init ~f =
     done;
     Obs.add c_scanned !n;
     !acc
+  end
+
+let read_top t buf =
+  settle_top t;
+  if t.top < 0 then 0
+  else begin
+    Obs.incr c_scans;
+    let limit = Array.length buf in
+    let cell = ref t.head.(t.top) in
+    let n = ref 0 in
+    while !cell >= 0 && !n < limit do
+      buf.(!n) <- !cell;
+      cell := t.next.(!cell);
+      incr n
+    done;
+    Obs.add c_scanned !n;
+    !n
   end
 
 let iter t f =

@@ -59,6 +59,11 @@ val top_gain : t -> int option
     for bounded tie-break scans. *)
 val fold_top : t -> limit:int -> init:'acc -> f:('acc -> int -> 'acc) -> 'acc
 
+(** [read_top t buf] copies at most [Array.length buf] cells of the top
+    non-empty bucket into [buf], head first, and returns how many it
+    copied (0 when empty).  The allocation-free form of {!fold_top}. *)
+val read_top : t -> int array -> int
+
 (** [iter t f] applies [f] to every stored cell (arbitrary order). *)
 val iter : t -> (int -> unit) -> unit
 

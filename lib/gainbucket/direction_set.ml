@@ -73,18 +73,26 @@ module Top_index = struct
     settle t;
     if t.top < 0 then None else Some (t.top - t.max_gain)
 
-  (* Directions whose top equals the global best, ascending. *)
-  let top_dirs t =
+  (* Directions whose top equals the global best, written ascending
+     into [buf] (insertion sort: a handful of tied directions). *)
+  let top_dirs t buf =
     settle t;
-    if t.top < 0 then []
+    if t.top < 0 then 0
     else begin
-      let out = ref [] in
+      let n = ref 0 in
       let dir = ref t.head.(t.top) in
       while !dir >= 0 do
-        out := !dir :: !out;
-        dir := t.next.(!dir)
+        let d = !dir in
+        let i = ref !n in
+        while !i > 0 && buf.(!i - 1) > d do
+          buf.(!i) <- buf.(!i - 1);
+          decr i
+        done;
+        buf.(!i) <- d;
+        incr n;
+        dir := t.next.(d)
       done;
-      List.sort compare !out
+      !n
     end
 
   let clear t =
@@ -99,6 +107,7 @@ end
 type t = {
   buckets : Bucket_array.t array;
   enabled : bool array;
+  versions : int array;
   tops : Top_index.t;
 }
 
@@ -108,6 +117,7 @@ let create ?discipline ~directions ~cells ~max_gain () =
       Array.init directions (fun _ ->
           Bucket_array.create ?discipline ~cells ~max_gain ());
     enabled = Array.make directions true;
+    versions = Array.make directions 0;
     tops = Top_index.create ~directions ~max_gain;
   }
 
@@ -123,17 +133,24 @@ let sync t dir =
     | None -> Top_index.drop t.tops dir
   else Top_index.drop t.tops dir
 
+let bump t dir = t.versions.(dir) <- t.versions.(dir) + 1
+
 let insert t ~dir cell gain =
   Bucket_array.insert t.buckets.(dir) cell gain;
+  bump t dir;
   sync t dir
 
 let remove t ~dir cell =
   Bucket_array.remove t.buckets.(dir) cell;
+  bump t dir;
   sync t dir
 
 let update t ~dir cell gain =
   Bucket_array.update t.buckets.(dir) cell gain;
+  bump t dir;
   sync t dir
+
+let version t dir = t.versions.(dir)
 
 let mem t ~dir cell = Bucket_array.mem t.buckets.(dir) cell
 let gain_of t ~dir cell = Bucket_array.gain_of t.buckets.(dir) cell
@@ -148,7 +165,7 @@ let enabled t dir = t.enabled.(dir)
 
 let best_gain t = Top_index.top_gain t.tops
 
-let best_dirs t = Top_index.top_dirs t.tops
+let best_dirs t buf = Top_index.top_dirs t.tops buf
 
 let total_cells t =
   Array.fold_left (fun acc b -> acc + Bucket_array.cardinal b) 0 t.buckets
@@ -156,6 +173,7 @@ let total_cells t =
 let clear t =
   Array.iter Bucket_array.clear t.buckets;
   Array.fill t.enabled 0 (Array.length t.enabled) true;
+  Array.iteri (fun dir _ -> bump t dir) t.versions;
   Top_index.clear t.tops
 
 let check t =

@@ -64,10 +64,19 @@ val enabled : t -> int -> bool
     directions — O(1) from the top index. *)
 val best_gain : t -> int option
 
-(** [best_dirs t] is all enabled directions whose top gain equals
-    {!best_gain}, ascending (empty when all buckets are empty or
-    disabled).  Touches only the tied directions. *)
-val best_dirs : t -> int list
+(** [best_dirs t buf] writes all enabled directions whose top gain
+    equals {!best_gain} into [buf], ascending, and returns their number
+    (0 when all buckets are empty or disabled).  Touches only the tied
+    directions and allocates nothing; [buf] must hold every direction
+    that can tie (the direction count is always enough). *)
+val best_dirs : t -> int array -> int
+
+(** [version t dir] changes whenever {!insert}, {!remove}, {!update}
+    or {!clear} touches direction [dir] (also when the call turns out
+    to be a no-op), so a caller may cache anything derived from the
+    bucket's contents and trust it while the version is unchanged.
+    {!set_enabled} leaves it alone: the contents do not change. *)
+val version : t -> int -> int
 
 (** [total_cells t] sums {!Bucket_array.cardinal} over all directions. *)
 val total_cells : t -> int

@@ -147,9 +147,12 @@ let validate t =
 
 (* {2 Hotspots}
 
-   Self time = a span's duration minus its direct children's; the
-   table answers "where did the wall-clock actually go" without the
-   double counting an inclusive-only table has. *)
+   Self time = a span's duration minus the time covered by its direct
+   children; the table answers "where did the wall-clock actually go"
+   without the double counting an inclusive-only table has.  Children
+   run on several domains can overlap (a parallel portfolio under one
+   span), so "covered" is the union of the child intervals clipped to
+   the parent, never the sum of their durations. *)
 
 type hotspot = {
   h_name : string;
@@ -158,18 +161,42 @@ type hotspot = {
   h_self_ms : float;
 }
 
+(* Length of the union of the intervals [(start, stop)] clipped to
+   [lo, hi]. *)
+let covered ~lo ~hi intervals =
+  let clipped =
+    List.filter_map
+      (fun (a, b) ->
+        let a = Float.max a lo and b = Float.min b hi in
+        if b > a then Some (a, b) else None)
+      intervals
+    |> List.sort compare
+  in
+  let rec sweep total start stop = function
+    | [] -> total +. (stop -. start)
+    | (a, b) :: rest ->
+      if a <= stop then sweep total start (Float.max stop b) rest
+      else sweep (total +. (stop -. start)) a b rest
+  in
+  match clipped with [] -> 0.0 | (a, b) :: rest -> sweep 0.0 a b rest
+
 let hotspots t =
-  let child_ms = Hashtbl.create 256 in
+  let children = Hashtbl.create 256 in
   List.iter
     (fun s ->
       if s.parent <> 0 && Hashtbl.mem t.by_id s.parent then
-        Hashtbl.replace child_ms s.parent
-          (num_or 0.0 (Hashtbl.find_opt child_ms s.parent) +. s.dur_ms))
+        Hashtbl.replace children s.parent
+          ((s.t_ms, s.t_ms +. s.dur_ms)
+          :: Option.value ~default:[] (Hashtbl.find_opt children s.parent)))
     t.spans;
   let acc = Hashtbl.create 64 in
   List.iter
     (fun s ->
-      let self = s.dur_ms -. num_or 0.0 (Hashtbl.find_opt child_ms s.id) in
+      let self =
+        match Hashtbl.find_opt children s.id with
+        | None -> s.dur_ms
+        | Some iv -> s.dur_ms -. covered ~lo:s.t_ms ~hi:(s.t_ms +. s.dur_ms) iv
+      in
       let c, tot, slf =
         match Hashtbl.find_opt acc s.name with
         | Some (c, t, sf) -> (c, t, sf)

@@ -37,7 +37,10 @@ type hotspot = {
   h_name : string;
   h_count : int;
   h_total_ms : float;
-  h_self_ms : float;  (** duration minus direct children *)
+  h_self_ms : float;
+      (** duration minus the union of the direct children's intervals
+          (clipped to the span), so overlapping children never push it
+          below zero *)
 }
 
 (** Per-phase rows sorted by self time (descending, then name). *)

@@ -31,11 +31,21 @@ type dstate = {
   mutable buffering : bool;
   mutable buf : entry list;  (* reversed emission order *)
   mutable request : string option;  (* request id stamped on records *)
+  mutable credit : Resource.delta;
+      (* GC flows credited to this domain's open spans so far (see
+         [credit]); a span adds what accrued between its begin and end *)
 }
 
 let dstate_key : dstate Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { stack = []; next_id = 1; buffering = false; buf = []; request = None })
+      {
+        stack = [];
+        next_id = 1;
+        buffering = false;
+        buf = [];
+        request = None;
+        credit = Resource.zero_delta;
+      })
 
 let dstate () = Domain.DLS.get dstate_key
 let track () = (Domain.self () :> int)
@@ -125,10 +135,18 @@ type span = {
   s_name : string;
   s_t0 : float;
   s_r0 : Resource.sample option;  (* resource reading at begin, when on *)
+  s_c0 : Resource.delta;  (* the domain's credit at begin *)
 }
 
 let disabled =
-  { s_id = 0; s_parent = 0; s_name = ""; s_t0 = 0.0; s_r0 = None }
+  {
+    s_id = 0;
+    s_parent = 0;
+    s_name = "";
+    s_t0 = 0.0;
+    s_r0 = None;
+    s_c0 = Resource.zero_delta;
+  }
 
 let span_begin name =
   if not (Metrics.enabled ()) then disabled
@@ -139,7 +157,14 @@ let span_begin name =
     let parent = match d.stack with [] -> 0 | p :: _ -> p in
     d.stack <- id :: d.stack;
     let r0 = if Resource.enabled () then Some (Resource.sample ()) else None in
-    { s_id = id; s_parent = parent; s_name = name; s_t0 = Clock.now (); s_r0 = r0 }
+    {
+      s_id = id;
+      s_parent = parent;
+      s_name = name;
+      s_t0 = Clock.now ();
+      s_r0 = r0;
+      s_c0 = d.credit;
+    }
   end
 
 let span_end s ~attrs =
@@ -162,13 +187,16 @@ let span_end s ~attrs =
     let dur_ms = (t1 -. s.s_t0) *. 1000.0 in
     Metrics.observe (Metrics.histogram s.s_name) dur_ms;
     (* Resource deltas are sampled on the same domain as the begin
-       sample, so flows are differences of this domain's own counters
-       — scheduling-independent, and they ride through capture/merge
-       as ordinary span attrs. *)
+       sample, so flows are differences of this domain's own counters,
+       plus whatever work the domain waited for on other domains was
+       credited meanwhile ([credit]) — scheduling-independent, and they
+       ride through capture/merge as ordinary span attrs. *)
     let res =
       match s.s_r0 with
       | Some r0 when Resource.enabled () ->
-        Some (Resource.delta ~before:r0 ~after:(Resource.sample ()))
+        let dl = Resource.delta ~before:r0 ~after:(Resource.sample ()) in
+        if d.credit == s.s_c0 then Some dl
+        else Some (Resource.add dl (Resource.credit ~ran:d.credit ~spent:s.s_c0))
       | _ -> None
     in
     let attrs =
@@ -208,6 +236,10 @@ let span_end s ~attrs =
                ];
            })
   end
+
+let credit c =
+  let d = dstate () in
+  d.credit <- Resource.add d.credit c
 
 let current_id () =
   match (dstate ()).stack with [] -> 0 | id :: _ -> id
@@ -288,6 +320,7 @@ let reset () =
   d.buffering <- false;
   d.buf <- [];
   d.request <- None;
+  d.credit <- Resource.zero_delta;
   (* A recorder reset is a measurement-epoch boundary (daemon restart,
      bench repeat, test isolation): the span-duration histograms and
      counters the spans fed must restart with it, or a long-lived

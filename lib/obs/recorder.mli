@@ -85,6 +85,14 @@ val capture : (unit -> 'a) -> 'a * snapshot
     stream. *)
 val merge : snapshot -> unit
 
+(** [credit c] adds the GC flows of [c] (see {!Resource.credit}) to
+    the resource delta of every span open on the calling domain when
+    they end.  {!Fpart_exec.Pool} calls it at each join with the flows
+    of all tasks minus what the caller itself spent during the batch,
+    so a span enclosing a fork counts every task once, whichever
+    domain ran it. *)
+val credit : Resource.delta -> unit
+
 (** Pin [t_ms = 0] to now.  Binaries call this once at startup after
     installing the real clock source; otherwise the epoch is the first
     recorded instant. *)

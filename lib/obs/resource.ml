@@ -195,6 +195,16 @@ let add a b =
     d_stime_s = a.d_stime_s +. b.d_stime_s;
   }
 
+let credit ~ran ~spent =
+  {
+    zero_delta with
+    d_minor_words = ran.d_minor_words -. spent.d_minor_words;
+    d_promoted_words = ran.d_promoted_words -. spent.d_promoted_words;
+    d_major_words = ran.d_major_words -. spent.d_major_words;
+    d_minor_gcs = ran.d_minor_gcs - spent.d_minor_gcs;
+    d_major_gcs = ran.d_major_gcs - spent.d_major_gcs;
+  }
+
 let alloc_words d = d.d_minor_words +. d.d_major_words -. d.d_promoted_words
 
 let delta_fields d =

@@ -11,8 +11,10 @@
     {!Recorder.span_end} appends the {!delta} fields to the span record
     plus one [{"type":"counter"}] record (exported as a Chrome Trace
     ["C"] event).  Flow fields (words allocated, collections, CPU time)
-    are differences and therefore scheduling-independent per domain;
-    peak fields ([heap_w], [rss_kb]) are monotone end-values.
+    are differences and therefore scheduling-independent per domain
+    (a span enclosing a pool fork is credited with its tasks' GC flows
+    at the join, see {!credit}); peak fields ([heap_w], [rss_kb]) are
+    monotone end-values.
 
     {b Domain-safety.}  Sampling is per-domain: [Gc.quick_stat] reads
     the calling domain's view and each domain keeps its own peak
@@ -90,6 +92,13 @@ val zero_delta : delta
 
 (** Sum the flows, max the peaks. *)
 val add : delta -> delta -> delta
+
+(** [credit ~ran ~spent] is the GC-flow difference [ran − spent]
+    (words and collections) with zero peaks and CPU times: a correction
+    to add to a span's delta, not a reading.  Peaks are end-values and
+    CPU times are process-wide, so neither needs correcting when work
+    moves between domains.  See {!Recorder.credit}. *)
+val credit : ran:delta -> spent:delta -> delta
 
 (** Total words allocated: minor + major − promoted (promoted words
     are counted in both source pools). *)

@@ -24,6 +24,15 @@ let c_delta_updates = Obs.counter "sanchis.delta.updates"
 let c_delta_avoided = Obs.counter "sanchis.delta.avoided"
 let h_move_gain = Obs.histogram "sanchis.move_gain"
 
+(* Move-selection workload (always on): selection rounds, tied
+   directions answered from their memo or rescanned, and lookahead
+   vectors answered from the per-(cell, target) memo.  Tallied in the
+   context and flushed once per pass. *)
+let c_select_rounds = Obs.counter "sanchis.select.rounds"
+let c_dir_reused = Obs.counter "sanchis.select.dir_reused"
+let c_dir_rescanned = Obs.counter "sanchis.select.dir_rescanned"
+let c_lookahead_reused = Obs.counter "sanchis.select.lookahead_reused"
+
 
 type gain_mode = Cut_gain | Pin_gain
 type gain_update = Delta | Recompute
@@ -84,7 +93,7 @@ type ctx = {
   cells : Dirset.t;             (* cells; nb*nb dirs, diagonal unused *)
   pads : Dirset.t;              (* pads: size-neutral, never window-gated *)
   locked : bool array;          (* per node, reset each pass *)
-  locked_cnt : int array array; (* net -> per-(global)-block locked pins *)
+  locked_cnt : int array;       (* net * nb + active index: locked pins *)
   (* Scratch of the delta-gain engine, reused across moves.  The
      [d_*] arrays buffer the changed-nets summary reported by
      [State.move ~on_net]; [touched]/[touch_stamp] record affected
@@ -100,6 +109,39 @@ type ctx = {
   touch_stamp : int array;
   mutable stamp : int;
   delta : int array;            (* cell * nb + target index *)
+  (* Move selection (see [select]).  [levels] lookahead gains (levels
+     2..gain_levels) rank the tied cells; vectors are stored flat, one
+     [levels]-long run per entry.  [scan] receives a bucket prefix,
+     [cell_dirs]/[pad_dirs] the tied directions of a round, [sel_*] the
+     best candidate so far ([sel_cell] = -1: none). *)
+  levels : int;
+  scan : int array;
+  cell_dirs : int array;
+  pad_dirs : int array;
+  mutable sel_cell : int;
+  mutable sel_to : int;
+  mutable sel_bal : int;
+  sel_la : int array;
+  (* Per-direction memo of the local first-best, one slot per (set,
+     direction) with the cell set's directions first: the direction
+     set's version and the two blocks' move epochs it was computed at
+     ([memo_ver] = -1: nothing memoised), the winner (-1: no legal
+     cell), its balance and lookahead. *)
+  epoch : int array;            (* per active block: moves in or out *)
+  memo_ver : int array;
+  memo_ea : int array;
+  memo_eb : int array;
+  memo_cell : int array;
+  memo_bal : int array;
+  memo_la : int array;
+  (* Per-(cell, target index) lookahead memo: [la_ok] flags the entries
+     of [la_val] that are current. *)
+  la_ok : Bytes.t;
+  la_val : int array;
+  mutable n_rounds : int;
+  mutable n_reused : int;
+  mutable n_rescanned : int;
+  mutable n_la_reused : int;
   (* Telemetry position: which execution of this improve call is
      running, and which pass within it (1-based; see the [pass]
      records in docs/OBSERVABILITY.md). *)
@@ -128,6 +170,9 @@ let make_ctx st spec cfg eval =
   let max_gain =
     match cfg.gain_mode with Cut_gain -> max_deg | Pin_gain -> 2 * max_deg
   in
+  let levels = max 0 (cfg.gain_levels - 1) in
+  let slots = 2 * nb * nb in
+  let la_entries = if levels > 0 then n * nb else 0 in
   {
     st;
     hg;
@@ -143,7 +188,7 @@ let make_ctx st spec cfg eval =
       Dirset.create ~discipline:cfg.bucket_discipline ~directions:(nb * nb)
         ~cells:n ~max_gain ();
     locked = Array.make n false;
-    locked_cnt = Array.init (Hg.num_nets hg) (fun _ -> Array.make k 0);
+    locked_cnt = Array.make (Hg.num_nets hg * nb) 0;
     d_nets = Array.make max_deg 0;
     d_ca = Array.make max_deg 0;
     d_cb = Array.make max_deg 0;
@@ -154,6 +199,27 @@ let make_ctx st spec cfg eval =
     touch_stamp = Array.make (max n 1) 0;
     stamp = 0;
     delta = Array.make (max (n * nb) 1) 0;
+    levels;
+    scan = Array.make (max 1 cfg.scan_limit) 0;
+    cell_dirs = Array.make (nb * nb) 0;
+    pad_dirs = Array.make (nb * nb) 0;
+    sel_cell = -1;
+    sel_to = -1;
+    sel_bal = 0;
+    sel_la = Array.make levels 0;
+    epoch = Array.make nb 0;
+    memo_ver = Array.make slots (-1);
+    memo_ea = Array.make slots 0;
+    memo_eb = Array.make slots 0;
+    memo_cell = Array.make slots (-1);
+    memo_bal = Array.make slots 0;
+    memo_la = Array.make (slots * levels) 0;
+    la_ok = Bytes.make la_entries '\000';
+    la_val = Array.make (la_entries * levels) 0;
+    n_rounds = 0;
+    n_reused = 0;
+    n_rescanned = 0;
+    n_la_reused = 0;
     tel_execution = 0;
     tel_pass = 0;
   }
@@ -202,22 +268,32 @@ let cell_legal ctx v b =
   State.size_of ctx.st a - s >= ctx.spec.lower.(a)
   && State.size_of ctx.st b + s <= ctx.spec.upper.(b)
 
-(* Lock-aware level-[i] lookahead gain for moving [v] from [a] to [b]:
+(* Lock-aware lookahead gains for moving [v] from [a] to [b], written to
+   [dst.(off) .. dst.(off + levels - 1)] for levels 2..gain_levels:
    Krishnamurthy's formula (positive when the net frees after [i-1] more
    source-side moves, negative when the move cements a net the other
-   side could still have freed), restricted to nets inside a∪b. *)
-let level_gain ctx v ~a ~b ~level =
-  Array.fold_left
-    (fun acc e ->
-      let d = Hg.net_degree ctx.hg e in
-      let ca = State.net_count ctx.st e a and cb = State.net_count ctx.st e b in
-      if ca + cb <> d then acc
-      else begin
-        let la = ctx.locked_cnt.(e).(a) and lb = ctx.locked_cnt.(e).(b) in
-        let acc = if la = 0 && ca = level then acc + 1 else acc in
-        if lb = 0 && cb = level - 1 then acc - 1 else acc
-      end)
-    0 (Hg.nets_of ctx.hg v)
+   side could still have freed), restricted to nets inside a∪b.  A net
+   scores +1 only at level [ca] and -1 only at level [cb + 1], so one
+   walk over [v]'s nets fills every level. *)
+let lookahead_into ctx v ~a ~b dst off =
+  let nb = ctx.nb and levels = ctx.levels in
+  let ai = ctx.pos.(a) and bi = ctx.pos.(b) in
+  Array.fill dst off levels 0;
+  let nets = Hg.nets_of ctx.hg v in
+  for j = 0 to Array.length nets - 1 do
+    let e = nets.(j) in
+    let ca = State.net_count ctx.st e a and cb = State.net_count ctx.st e b in
+    if ca + cb = Hg.net_degree ctx.hg e then begin
+      if ctx.locked_cnt.((e * nb) + ai) = 0 && ca >= 2 && ca <= levels + 1 then
+        dst.(off + ca - 2) <- dst.(off + ca - 2) + 1;
+      if ctx.locked_cnt.((e * nb) + bi) = 0 && cb >= 1 && cb <= levels then
+        dst.(off + cb - 1) <- dst.(off + cb - 1) - 1
+    end
+  done
+
+(* Forget [u]'s memoised lookaheads: one of its nets just changed. *)
+let forget_lookahead ctx u =
+  if ctx.levels > 0 then Bytes.fill ctx.la_ok (u * ctx.nb) ctx.nb '\000'
 
 let set_for ctx v = if Hg.is_pad ctx.hg v then ctx.pads else ctx.cells
 
@@ -374,6 +450,7 @@ let apply_deltas ctx ~v ~a ~b =
     let xi = ctx.pos.(x) in
     let set = set_for ctx u in
     let base = u * nb in
+    forget_lookahead ctx u;
     for yi = 0 to nb - 1 do
       if yi <> xi then begin
         let d = ctx.delta.(base + yi) in
@@ -396,122 +473,175 @@ let apply_deltas ctx ~v ~a ~b =
   Obs.add c_delta_avoided !avoided;
   Obs.add c_delta_updates !updates
 
-(* Candidate chosen at one selection round. *)
-type candidate = {
-  cand_cell : int;
-  cand_to : int;
-  cand_gain : int;            (* primary gain (the bucket it came from) *)
-  cand_lookahead : int list;  (* gains at levels 2..gain_levels *)
-  cand_bal : int;
-}
+(* {2 Move selection}
 
-let better_candidate ~salt c1 c2 =
-  (* g1 equal by construction; compare (lookahead vector desc, balance
-     desc, salted id asc — the salt lets multi-start runs break ties
-     differently) *)
-  match c2 with
-  | None -> true
-  | Some c2 ->
-    if c1.cand_lookahead <> c2.cand_lookahead then
-      compare c1.cand_lookahead c2.cand_lookahead > 0
-    else if c1.cand_bal <> c2.cand_bal then c1.cand_bal > c2.cand_bal
-    else c1.cand_cell lxor salt < c2.cand_cell lxor salt
+   A selection round takes the globally best primary gain from the
+   direction sets' top indices and visits every direction tied at it,
+   in ascending (a-index, b-index) order with a direction's cell bucket
+   before its pad bucket.  Within a direction the first [scan_limit]
+   cells of the top bucket are ranked by (lookahead vector desc,
+   balance [S_FROM - S_TO] desc, salted id asc — the salt lets
+   multi-start runs break ties differently); cells failing the exact
+   size test are skipped, and when a whole cell prefix fails it is
+   popped into the stash (reinserted by the caller after the move) and
+   the round is repeated.
 
-(* Select the next move.  The direction sets' top indices give the
-   globally best gain and the tied directions in O(tied) — no nb²
-   rescan per round.  Directions are visited in ascending (a-index,
-   b-index) order with a direction's cell bucket before its pad bucket,
-   replicating the historical nested scan.  Cells failing the exact
-   size test are popped into a stash (reinserted by the caller after
-   the move). *)
-let select ctx stash =
-  let rec attempt () =
-    let cg = Dirset.best_gain ctx.cells and pg = Dirset.best_gain ctx.pads in
-    match (cg, pg) with
-    | None, None -> None
-    | _ ->
-      let best_gain =
-        match (cg, pg) with
-        | Some a, Some b -> max a b
-        | Some g, None | None, Some g -> g
-        | None, None -> assert false
-      in
-      let cell_dirs =
-        if cg = Some best_gain then Dirset.best_dirs ctx.cells else []
-      in
-      let pad_dirs =
-        if pg = Some best_gain then Dirset.best_dirs ctx.pads else []
-      in
-      let best = ref None in
-      let stashed_this_round = ref false in
-      let scan_bucket ~gate_cells dir =
-        let ai = dir / ctx.nb and bi = dir mod ctx.nb in
-        let a = ctx.spec.active.(ai) and b = ctx.spec.active.(bi) in
-        let set = if gate_cells then ctx.cells else ctx.pads in
-        let scanned =
-          Bucket.fold_top (Dirset.bucket set dir) ~limit:ctx.cfg.scan_limit
-            ~init:[] ~f:(fun acc c -> c :: acc)
-        in
-        let any_legal = ref false in
-        List.iter
-          (fun v ->
-            if cell_legal ctx v b then begin
-              any_legal := true;
-              let lookahead =
-                List.init
-                  (max 0 (ctx.cfg.gain_levels - 1))
-                  (fun i -> level_gain ctx v ~a ~b ~level:(i + 2))
-              in
-              let bal = State.size_of ctx.st a - State.size_of ctx.st b in
-              let c =
-                {
-                  cand_cell = v;
-                  cand_to = b;
-                  cand_gain = best_gain;
-                  cand_lookahead = lookahead;
-                  cand_bal = bal;
-                }
-              in
-              if better_candidate ~salt:ctx.cfg.tie_salt c !best then
-                best := Some c
-            end)
-          scanned;
-        if gate_cells && not !any_legal then begin
-          (* whole scanned prefix illegal: pop it so deeper or
-             other-gain cells surface next round *)
-          List.iter
-            (fun v ->
-              Dirset.remove set ~dir v;
-              stash := (dir, v, best_gain) :: !stash)
-            scanned;
-          stashed_this_round := true
-        end
-      in
-      let rec merge cds pds =
-        match (cds, pds) with
-        | [], [] -> ()
-        | c :: ct, [] ->
-          scan_bucket ~gate_cells:true c;
-          merge ct []
-        | [], p :: pt ->
-          scan_bucket ~gate_cells:false p;
-          merge [] pt
-        | c :: ct, p :: pt ->
-          if c <= p then begin
-            scan_bucket ~gate_cells:true c;
-            merge ct pds
-          end
-          else begin
-            scan_bucket ~gate_cells:false p;
-            merge cds pt
-          end
-      in
-      merge cell_dirs pad_dirs;
-      (match !best with
-      | Some c -> Some c
-      | None -> if !stashed_this_round then attempt () else None)
+   The ranking is a total preorder whose only ties are one cell reached
+   through two directions, so folding each direction's local first-best
+   in direction order yields the same winner as ranking every scanned
+   cell in one sequence.  That is what lets a direction's local
+   first-best be memoised: it depends only on the bucket contents (the
+   direction set's version) and on the sizes, net counts and lock counts
+   of its two blocks (their move epochs).  A cell's lookahead towards a
+   target changes only when one of its nets does, i.e. when the cell is
+   a neighbour of an applied move, so it is memoised per (cell, target)
+   until then.  A prefix popped to the stash is never memoised. *)
+
+(* Lexicographic order of two [levels]-long lookahead vectors. *)
+let compare_lookahead levels x xo y yo =
+  let i = ref 0 in
+  while !i < levels && x.(xo + !i) = y.(yo + !i) do
+    incr i
+  done;
+  if !i = levels then 0 else compare (x.(xo + !i) : int) y.(yo + !i)
+
+(* Does candidate [c] (lookahead at [la.(lo)..], balance [bal]) rank
+   strictly above [c'] (lookahead at [la'.(lo')..], balance [bal'])? *)
+let beats ctx ~la ~lo ~bal c ~la' ~lo' ~bal' c' =
+  let d = compare_lookahead ctx.levels la lo la' lo' in
+  if d <> 0 then d > 0
+  else if bal <> bal' then bal > bal'
+  else c lxor ctx.cfg.tie_salt < c' lxor ctx.cfg.tie_salt
+
+(* Offset in [la_val] of [v]'s lookahead towards active block [bi],
+   computed on a memo miss. *)
+let lookahead ctx v ~a ~bi =
+  let key = (v * ctx.nb) + bi in
+  let off = key * ctx.levels in
+  if ctx.levels > 0 then begin
+    if Bytes.get ctx.la_ok key = '\001' then
+      ctx.n_la_reused <- ctx.n_la_reused + 1
+    else begin
+      lookahead_into ctx v ~a ~b:ctx.spec.active.(bi) ctx.la_val off;
+      Bytes.set ctx.la_ok key '\001'
+    end
+  end;
+  off
+
+(* Recompute the local first-best of direction [dir] of [set] into memo
+   [slot].  Returns [false] when the whole scanned cell prefix was
+   illegal and got popped into the stash (nothing memoised). *)
+let scan_direction ctx ~pads set slot dir ~gain stash =
+  ctx.n_rescanned <- ctx.n_rescanned + 1;
+  let levels = ctx.levels in
+  let ai = dir / ctx.nb and bi = dir mod ctx.nb in
+  let a = ctx.spec.active.(ai) and b = ctx.spec.active.(bi) in
+  let version = Dirset.version set dir in
+  let n = Bucket.read_top (Dirset.bucket set dir) ctx.scan in
+  let bal = State.size_of ctx.st a - State.size_of ctx.st b in
+  let mo = slot * levels in
+  let best = ref (-1) in
+  (* deepest cell first, as the historical scan visited them *)
+  for i = n - 1 downto 0 do
+    let v = ctx.scan.(i) in
+    if cell_legal ctx v b then begin
+      let lo = lookahead ctx v ~a ~bi in
+      if
+        !best < 0
+        || beats ctx ~la:ctx.la_val ~lo ~bal v ~la':ctx.memo_la ~lo':mo ~bal':bal
+             !best
+      then begin
+        best := v;
+        Array.blit ctx.la_val lo ctx.memo_la mo levels
+      end
+    end
+  done;
+  if !best < 0 && not pads then begin
+    (* whole scanned prefix illegal: pop it so deeper or other-gain
+       cells surface next round *)
+    for i = n - 1 downto 0 do
+      let v = ctx.scan.(i) in
+      Dirset.remove set ~dir v;
+      stash := (dir, v, gain) :: !stash
+    done;
+    ctx.memo_ver.(slot) <- -1;
+    false
+  end
+  else begin
+    ctx.memo_ver.(slot) <- version;
+    ctx.memo_ea.(slot) <- ctx.epoch.(ai);
+    ctx.memo_eb.(slot) <- ctx.epoch.(bi);
+    ctx.memo_cell.(slot) <- !best;
+    ctx.memo_bal.(slot) <- bal;
+    true
+  end
+
+(* Visit one tied direction: reuse or refresh its memo, then fold its
+   local first-best into the round's best.  Returns [false] when its
+   prefix was stashed. *)
+let visit_direction ctx ~pads dir ~gain stash =
+  let set = if pads then ctx.pads else ctx.cells in
+  let slot = if pads then (ctx.nb * ctx.nb) + dir else dir in
+  let fresh =
+    ctx.memo_ver.(slot) = Dirset.version set dir
+    && ctx.memo_ea.(slot) = ctx.epoch.(dir / ctx.nb)
+    && ctx.memo_eb.(slot) = ctx.epoch.(dir mod ctx.nb)
   in
-  attempt ()
+  let kept =
+    if fresh then begin
+      ctx.n_reused <- ctx.n_reused + 1;
+      true
+    end
+    else scan_direction ctx ~pads set slot dir ~gain stash
+  in
+  let c = ctx.memo_cell.(slot) in
+  if kept && c >= 0 then begin
+    let mo = slot * ctx.levels and bal = ctx.memo_bal.(slot) in
+    if
+      ctx.sel_cell < 0
+      || beats ctx ~la:ctx.memo_la ~lo:mo ~bal c ~la':ctx.sel_la ~lo':0
+           ~bal':ctx.sel_bal ctx.sel_cell
+    then begin
+      ctx.sel_cell <- c;
+      ctx.sel_to <- ctx.spec.active.(dir mod ctx.nb);
+      ctx.sel_bal <- bal;
+      Array.blit ctx.memo_la mo ctx.sel_la 0 ctx.levels
+    end
+  end;
+  kept
+
+(* Select the next move into [sel_cell]/[sel_to]; returns its primary
+   gain, or [None] when no legal move is left. *)
+let select ctx stash =
+  ctx.sel_cell <- -1;
+  let result = ref None in
+  let again = ref true in
+  while !again do
+    again := false;
+    ctx.n_rounds <- ctx.n_rounds + 1;
+    let top set = match Dirset.best_gain set with Some g -> g | None -> min_int in
+    let cg = top ctx.cells and pg = top ctx.pads in
+    let gain = max cg pg in
+    if gain > min_int then begin
+      let nc = if cg = gain then Dirset.best_dirs ctx.cells ctx.cell_dirs else 0 in
+      let np = if pg = gain then Dirset.best_dirs ctx.pads ctx.pad_dirs else 0 in
+      let stashed = ref false in
+      let i = ref 0 and j = ref 0 in
+      while !i < nc || !j < np do
+        let pads =
+          !j < np && (!i >= nc || ctx.pad_dirs.(!j) < ctx.cell_dirs.(!i))
+        in
+        let dir =
+          if pads then ctx.pad_dirs.(!j) else ctx.cell_dirs.(!i)
+        in
+        if pads then incr j else incr i;
+        if not (visit_direction ctx ~pads dir ~gain stash) then stashed := true
+      done;
+      if ctx.sel_cell >= 0 then result := Some gain
+      else if !stashed then again := true
+    end
+  done;
+  !result
 
 (* Offered to the solution stacks at improvement points of the first
    execution (section 3.6): semi-feasible solutions in one stack,
@@ -526,7 +656,8 @@ let offer_to_stacks ~k ~semi ~infeasible snap =
 let fill_buckets ctx =
   let st = ctx.st in
   Array.fill ctx.locked 0 (Array.length ctx.locked) false;
-  Array.iter (fun cnt -> Array.fill cnt 0 (Array.length cnt) 0) ctx.locked_cnt;
+  Array.fill ctx.locked_cnt 0 (Array.length ctx.locked_cnt) 0;
+  Bytes.fill ctx.la_ok 0 (Bytes.length ctx.la_ok) '\000';
   Dirset.clear ctx.cells;
   Dirset.clear ctx.pads;
   Hg.iter_nodes
@@ -536,7 +667,9 @@ let fill_buckets ctx =
 
 (* Apply the move [v] -> [b]: pop [v] from its buckets, update the
    state (buffering the changed-nets summary when the delta engine is
-   on), lock, and retire any directions the size change closed.
+   on), lock, bump both blocks' move epochs (which stales the selection
+   memo of every direction touching them) and retire any directions the
+   size change closed.
    Returns the source block. *)
 let apply_move ctx v b =
   let st = ctx.st in
@@ -554,9 +687,14 @@ let apply_move ctx v b =
         ctx.d_span.(i) <- span;
         ctx.d_len <- i + 1));
   ctx.locked.(v) <- true;
+  let pa = ctx.pos.(a) and pb = ctx.pos.(b) in
   Array.iter
-    (fun e -> ctx.locked_cnt.(e).(b) <- ctx.locked_cnt.(e).(b) + 1)
+    (fun e ->
+      let i = (e * ctx.nb) + pb in
+      ctx.locked_cnt.(i) <- ctx.locked_cnt.(i) + 1)
     (Hg.nets_of ctx.hg v);
+  ctx.epoch.(pa) <- ctx.epoch.(pa) + 1;
+  ctx.epoch.(pb) <- ctx.epoch.(pb) + 1;
   refresh_directions_of ctx a b;
   a
 
@@ -575,7 +713,10 @@ let refresh_neighbours ctx ~v ~a ~b =
               u <> v
               && (not ctx.locked.(u))
               && ctx.pos.(State.block_of st u) >= 0
-            then update_cell ctx u)
+            then begin
+              forget_lookahead ctx u;
+              update_cell ctx u
+            end)
           (Hg.pins ctx.hg e))
       (Hg.nets_of ctx.hg v)
 
@@ -610,7 +751,8 @@ let run_pass ctx ~collect ~semi ~infeasible =
     stash := [];
     match select ctx stash with
     | None -> continue := false
-    | Some { cand_cell = v; cand_to = b; cand_gain; _ } ->
+    | Some cand_gain ->
+      let v = ctx.sel_cell and b = ctx.sel_to in
       Obs.incr c_moves;
       Obs.observe h_move_gain (float_of_int cand_gain);
       if telemetry then begin
@@ -653,6 +795,14 @@ let run_pass ctx ~collect ~semi ~infeasible =
   in
   rewind !n_moves !trail;
   Obs.add c_rewound (!n_moves - !best_prefix);
+  Obs.add c_select_rounds ctx.n_rounds;
+  Obs.add c_dir_reused ctx.n_reused;
+  Obs.add c_dir_rescanned ctx.n_rescanned;
+  Obs.add c_lookahead_reused ctx.n_la_reused;
+  ctx.n_rounds <- 0;
+  ctx.n_reused <- 0;
+  ctx.n_rescanned <- 0;
+  ctx.n_la_reused <- 0;
   if telemetry then begin
     (* Gain-prefix curve, downsampled to ≤ 128 points (every
        [curve_stride]-th cumulative gain, last move always kept) so a

@@ -21,7 +21,23 @@
     - dual semi-feasible / infeasible solution stacks (section 3.6):
       the first execution collects restart candidates, then a series of
       passes restarts from every stacked solution, and the best solution
-      over all executions wins. *)
+      over all executions wins.
+
+    {b Incremental selection.}  A move is chosen among the first
+    [scan_limit] cells of every direction tied at the best gain, but
+    the work is not redone on every move.  Each direction's local
+    first-best is memoised and reused while nothing it reads has
+    changed: it depends on the direction set's version of that
+    direction (bumped by every insert, remove, update and clear) plus
+    the move epochs of its two blocks (bumped for both blocks of every
+    applied move).  Each cell's lookahead vector towards each target is
+    memoised until the cell is touched as a neighbour of an applied
+    move, and the memo is reset at every pass start.  Nothing is
+    memoised for a direction whose scanned prefix was just popped to
+    the stash.  The chosen moves, and so the partitions, are
+    bit-identical to a full rescan; the [sanchis.select.*] counters
+    (rounds, [dir_reused], [dir_rescanned], [lookahead_reused]) show
+    how much rescanning the memos saved. *)
 
 (** What the primary (bucket) gain measures. *)
 type gain_mode =

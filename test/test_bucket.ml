@@ -172,18 +172,24 @@ let test_update_counters () =
 let dirs_ok d =
   match D.check d with Ok () -> () | Error e -> Alcotest.fail e
 
+(* [D.best_dirs] through a fresh buffer, as a list. *)
+let best_dirs d =
+  let buf = Array.make 16 0 in
+  let n = D.best_dirs d buf in
+  Array.to_list (Array.sub buf 0 n)
+
 let test_dirs_best () =
   let d = D.create ~directions:3 ~cells:8 ~max_gain:4 () in
   D.insert d ~dir:0 0 1;
   D.insert d ~dir:1 1 3;
   D.insert d ~dir:2 2 3;
   Alcotest.(check bool) "best gain" true (D.best_gain d = Some 3);
-  Alcotest.(check (list int)) "best dirs" [ 1; 2 ] (D.best_dirs d);
+  Alcotest.(check (list int)) "best dirs" [ 1; 2 ] (best_dirs d);
   D.update d ~dir:1 1 (-2);
-  Alcotest.(check (list int)) "update retargets" [ 2 ] (D.best_dirs d);
+  Alcotest.(check (list int)) "update retargets" [ 2 ] (best_dirs d);
   D.remove d ~dir:2 2;
   Alcotest.(check bool) "best falls back" true (D.best_gain d = Some 1);
-  Alcotest.(check (list int)) "dir 0 now best" [ 0 ] (D.best_dirs d);
+  Alcotest.(check (list int)) "dir 0 now best" [ 0 ] (best_dirs d);
   dirs_ok d
 
 let test_dirs_disable () =
@@ -192,15 +198,15 @@ let test_dirs_disable () =
   D.insert d ~dir:1 1 1;
   D.set_enabled d 0 false;
   Alcotest.(check bool) "disabled skipped" true (D.best_gain d = Some 1);
-  Alcotest.(check (list int)) "only dir 1" [ 1 ] (D.best_dirs d);
+  Alcotest.(check (list int)) "only dir 1" [ 1 ] (best_dirs d);
   D.set_enabled d 0 true;
   Alcotest.(check bool) "re-enabled" true (D.best_gain d = Some 4);
   (* mutations while disabled must still land in the index on re-enable *)
   D.set_enabled d 1 false;
   D.update d ~dir:1 1 4;
-  Alcotest.(check (list int)) "disabled update invisible" [ 0 ] (D.best_dirs d);
+  Alcotest.(check (list int)) "disabled update invisible" [ 0 ] (best_dirs d);
   D.set_enabled d 1 true;
-  Alcotest.(check (list int)) "visible after re-enable" [ 0; 1 ] (D.best_dirs d);
+  Alcotest.(check (list int)) "visible after re-enable" [ 0; 1 ] (best_dirs d);
   dirs_ok d
 
 let test_dirs_totals_clear () =
@@ -212,8 +218,44 @@ let test_dirs_totals_clear () =
   D.clear d;
   Alcotest.(check int) "cleared" 0 (D.total_cells d);
   Alcotest.(check bool) "re-enabled by clear" true (D.enabled d 1);
-  Alcotest.(check bool) "empty best" true (D.best_dirs d = []);
+  Alcotest.(check bool) "empty best" true (best_dirs d = []);
   dirs_ok d
+
+(* Every mutation bumps its direction's version, no-ops included;
+   toggling a direction leaves the contents and so the version alone. *)
+let test_dirs_versions () =
+  let d = D.create ~directions:2 ~cells:4 ~max_gain:4 () in
+  let v dir = D.version d dir in
+  let v0 = v 0 and v1 = v 1 in
+  D.insert d ~dir:0 0 1;
+  Alcotest.(check bool) "insert bumps" true (v 0 > v0);
+  Alcotest.(check int) "other direction untouched" v1 (v 1);
+  let before = v 0 in
+  D.update d ~dir:0 0 1;
+  Alcotest.(check bool) "equal-gain update bumps" true (v 0 > before);
+  let before = v 0 in
+  D.remove d ~dir:0 3;
+  Alcotest.(check bool) "absent remove bumps" true (v 0 > before);
+  let before = v 0 in
+  D.set_enabled d 0 false;
+  Alcotest.(check int) "disable keeps version" before (v 0);
+  D.clear d;
+  Alcotest.(check bool) "clear bumps every direction" true
+    (v 0 > before && v 1 > v1)
+
+let test_read_top () =
+  let b = B.create ~cells:10 ~max_gain:5 () in
+  List.iter (fun c -> B.insert b c 2) [ 0; 1; 2; 3; 4 ];
+  B.insert b 5 1;
+  let fold = B.fold_top b ~limit:3 ~init:[] ~f:(fun acc c -> c :: acc) in
+  let buf = Array.make 3 (-1) in
+  let n = B.read_top b buf in
+  Alcotest.(check (list int)) "same prefix as fold_top" (List.rev fold)
+    (Array.to_list (Array.sub buf 0 n));
+  let wide = Array.make 8 (-1) in
+  Alcotest.(check int) "stops at the bucket end" 5 (B.read_top b wide);
+  Alcotest.(check int) "empty reads nothing" 0
+    (B.read_top (B.create ~cells:2 ~max_gain:1 ()) buf)
 
 (* Model-based property for the top index: after a random op sequence,
    [best_gain]/[best_dirs] must equal a naive scan over the enabled
@@ -251,7 +293,7 @@ let prop_dirs_model =
           [ 0; 1; 2; 3 ]
       in
       D.best_gain d = !naive_best
-      && D.best_dirs d = naive_dirs
+      && best_dirs d = naive_dirs
       && D.check d = Ok ())
 
 let () =
@@ -270,12 +312,14 @@ let () =
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "update counters" `Quick test_update_counters;
+          Alcotest.test_case "read_top" `Quick test_read_top;
         ] );
       ( "directions",
         [
           Alcotest.test_case "best" `Quick test_dirs_best;
           Alcotest.test_case "disable" `Quick test_dirs_disable;
           Alcotest.test_case "totals/clear" `Quick test_dirs_totals_clear;
+          Alcotest.test_case "versions" `Quick test_dirs_versions;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest [ prop_model; prop_dirs_model ] );

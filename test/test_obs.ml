@@ -714,6 +714,41 @@ let test_resource_jobs_deterministic () =
   Alcotest.(check bool) "memspots identical" true
     (Inspect.memspots t1 = Inspect.memspots t4)
 
+(* Children that ran in parallel overlap in time: self time is the
+   parent's duration minus the union of the child intervals (clipped to
+   the parent), not minus the sum of their durations. *)
+let test_hotspots_overlapping_children () =
+  let mk ~id ~parent ~name ~track ~t ~dur =
+    Json.Obj
+      [
+        ("type", Json.Str "span");
+        ("name", Json.Str name);
+        ("dur_ms", Json.Float dur);
+        ("id", Json.Int id);
+        ("parent", Json.Int parent);
+        ("track", Json.Int track);
+        ("t_ms", Json.Float t);
+      ]
+  in
+  let t =
+    Inspect.of_records
+      [
+        mk ~id:2 ~parent:1 ~name:"left" ~track:0 ~t:1.0 ~dur:5.0;
+        mk ~id:3 ~parent:1 ~name:"right" ~track:1 ~t:2.0 ~dur:6.0;
+        mk ~id:4 ~parent:1 ~name:"tail" ~track:1 ~t:9.0 ~dur:3.0;
+        mk ~id:1 ~parent:0 ~name:"fork" ~track:0 ~t:0.0 ~dur:10.0;
+      ]
+  in
+  let self name =
+    (List.find (fun r -> r.Inspect.h_name = name) (Inspect.hotspots t))
+      .Inspect.h_self_ms
+  in
+  (* covered: [1,8] from the overlapping pair plus [9,10] of the tail
+     that outlives the parent; the summed durations (14) exceed it *)
+  Alcotest.(check (float 1e-9)) "fork self = 10 - |[1,8] u [9,10]|" 2.0
+    (self "fork");
+  Alcotest.(check (float 1e-9)) "leaf self is its duration" 6.0 (self "right")
+
 let test_mem_analysis () =
   (* synthetic trace: outer allocates 100w of which inner 60w; totals
      must count roots once, peaks max over all spans *)
@@ -1123,6 +1158,8 @@ let () =
           Alcotest.test_case "hotspots, convergence, validation" `Quick
             test_inspect_analysis;
           Alcotest.test_case "memspots and totals" `Quick test_mem_analysis;
+          Alcotest.test_case "hotspots with overlapping children" `Quick
+            test_hotspots_overlapping_children;
         ] );
       ( "resource",
         [
